@@ -281,17 +281,17 @@ type txShard struct {
 
 // Network is an executable CCN domain over a topology.
 type Network struct {
-	eng   *des.Engine
 	graph *topology.Graph
 	lat   topology.PathProvider
 	nodes []*node
 	cat   *catalog.Catalog
 	opts  Options
 
-	// Sharded execution (NewShardedNetwork): se replaces eng, and
-	// shardOf maps each router to the logical process that owns its
-	// state. Both are nil/empty on serial networks.
-	se      *des.Sharded
+	// engs are the event loops driving the plane and shardOf maps each
+	// router to the engine that owns its state: one engine and an
+	// all-zero map on serial networks (NewNetwork), one engine per
+	// shard on sharded ones (NewShardedNetwork).
+	engs    []*des.Engine
 	shardOf []int32
 
 	// Origin attachment: either a gateway router with an uplink, or a
@@ -335,9 +335,9 @@ type Network struct {
 	// lossless, fault-free fabrics.
 	rng *rand.Rand
 
-	// nextReq is the last allocated request identity; Request allocates
-	// IDs monotonically in issue order, so they are deterministic for a
-	// given arrival schedule regardless of tracing.
+	// nextReq is the last identity Request allocated; IDs rise
+	// monotonically in issue order, so they are deterministic for a given
+	// arrival schedule regardless of tracing.
 	nextReq int64
 
 	// linkBusy tracks, per directed link, when its transmitter frees up
@@ -360,13 +360,14 @@ func NewNetwork(eng *des.Engine, g *topology.Graph, cat *catalog.Catalog, opts O
 	if err != nil {
 		return nil, err
 	}
-	n.eng = eng
+	n.engs = []*des.Engine{eng}
+	n.shardOf = make([]int32, g.N())
 	return n, nil
 }
 
 // buildNetwork validates options and constructs the router state shared
 // by the serial and sharded constructors; the caller attaches the
-// executor (eng or se).
+// engines and the router-to-engine map.
 func buildNetwork(g *topology.Graph, cat *catalog.Catalog, opts Options) (*Network, error) {
 	switch {
 	case g == nil || g.N() == 0:
@@ -506,35 +507,24 @@ func (n *Network) DataTransmissions() int64 {
 	return total
 }
 
-// txAt returns the transmission-counter slot for events executing at
-// router r: the single serial slot, or r's owning shard's slot.
+// txAt returns the transmission-counter slot of router r's engine.
 func (n *Network) txAt(r topology.NodeID) *txShard {
-	if n.se == nil {
-		return &n.tx[0]
-	}
 	return &n.tx[n.shardOf[r]]
 }
 
-// nowAt returns the virtual clock governing router r: the global
-// engine clock, or r's owning shard's local clock.
+// nowAt returns the virtual clock of router r's engine.
 func (n *Network) nowAt(r topology.NodeID) float64 {
-	if n.se == nil {
-		return n.eng.Now()
-	}
-	return n.se.Shard(int(n.shardOf[r])).Now()
+	return n.engs[n.shardOf[r]].Now()
 }
 
-// schedFrom schedules fn to run at router to's executor after delay,
-// from the context of an event executing at router from. On serial
-// networks this is a plain engine Schedule; on sharded networks it is
-// a shard-local push or a cross-shard mailbox send. Every cross-shard
-// hand-off in the data plane rides a network link, so the delay is at
-// least the partition's cut latency — the engine's lookahead bound.
+// schedFrom schedules fn to run on router to's engine after delay, from
+// the context of an event executing at router from: a local push when
+// both routers share an engine, a cross-shard mailbox send otherwise.
+// Every cross-shard hand-off in the data plane rides a network link, so
+// the delay is at least the partition's cut latency — the engine's
+// lookahead bound.
 func (n *Network) schedFrom(from, to topology.NodeID, delay float64, fn func()) error {
-	if n.se == nil {
-		return n.eng.Schedule(delay, fn)
-	}
-	return n.se.Shard(int(n.shardOf[from])).ScheduleTo(int(n.shardOf[to]), delay, fn)
+	return n.engs[n.shardOf[from]].ScheduleTo(int(n.shardOf[to]), delay, fn)
 }
 
 // DroppedInterests returns how many interest transmissions the lossy
@@ -614,8 +604,9 @@ func (n *Network) EnterDegraded() error {
 	}
 	n.degraded = true
 	n.placementsStale = false // degraded supersedes stale: the directory is bypassed entirely
+	// Tracing runs on one engine only, so router 0's clock is the plane's.
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindMode, Router: -1, Detail: "degraded-enter"})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(0), Kind: trace.KindMode, Router: -1, Detail: "degraded-enter"})
 	}
 	return nil
 }
@@ -639,7 +630,7 @@ func (n *Network) ExitDegraded() int {
 		}
 	}
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindMode, Router: -1, N: int64(flushed), Detail: "degraded-exit"})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(0), Kind: trace.KindMode, Router: -1, N: int64(flushed), Detail: "degraded-exit"})
 	}
 	return flushed
 }
@@ -674,7 +665,7 @@ func (n *Network) SetRouterState(r topology.NodeID, up bool) error {
 		if !up {
 			detail = "router-down"
 		}
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindFault, Router: int(r), Detail: detail})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(r), Kind: trace.KindFault, Router: int(r), Detail: detail})
 	}
 	if nd.crashed {
 		n.flushPIT(nd)
@@ -709,7 +700,7 @@ func (n *Network) SetLinkState(a, b topology.NodeID, up bool) error {
 		if !up {
 			detail = "link-down"
 		}
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindFault, Router: int(a), Peer: int(b), Detail: detail})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(a), Kind: trace.KindFault, Router: int(a), Peer: int(b), Detail: detail})
 	}
 	n.routeRecomputes++
 	n.lat = n.dyn.SetLink(a, b, up)
@@ -785,7 +776,7 @@ func (n *Network) flushPIT(nd *node) {
 		delete(nd.pit, id)
 		n.expiredEntries++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindExpire, Router: int(nd.id), Content: int64(id), Detail: "crash-flush", Req: entry.primaryReq})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nd.id), Kind: trace.KindExpire, Router: int(nd.id), Content: int64(id), Detail: "crash-flush", Req: entry.primaryReq})
 		}
 		for _, f := range entry.faces {
 			if f.request != nil {
@@ -807,46 +798,37 @@ func (n *Network) failRequest(nid topology.NodeID, id catalog.ID, req *pendingRe
 		Server:      -1,
 		ServedBy:    ServedNone,
 		Failed:      true,
-		CompletedAt: n.eng.Now() + n.opts.AccessLatency,
+		CompletedAt: n.nowAt(nid) + n.opts.AccessLatency,
 		Req:         req.req,
 	}
-	if err := n.eng.Schedule(n.opts.AccessLatency, func() { req.done(result) }); err != nil {
+	if err := n.schedFrom(nid, nid, n.opts.AccessLatency, func() { req.done(result) }); err != nil {
 		panic(fmt.Sprintf("ccn: scheduling failure completion: %v", err))
 	}
 }
 
 // Request schedules a client request for content id at the given router,
-// issued at the engine's current time. done fires when the data reaches
-// the client.
+// issued at the router's engine's current time, and allocates its
+// identity: a monotonic 1-based per-network ID in issue order. Every
+// trace event caused by this request's lifecycle carries the same ID,
+// and the completion's RequestResult.Req echoes it. done fires when the
+// data reaches the client. The shared counter would race across shards,
+// so requests on a multi-engine network go through RequestWithID.
 func (n *Network) Request(router topology.NodeID, id catalog.ID, done func(RequestResult)) error {
-	_, err := n.RequestID(router, id, done)
-	return err
-}
-
-// RequestID is Request returning the allocated request identity: a
-// monotonic 1-based per-run ID, assigned in issue order. Every trace
-// event caused by this request's lifecycle carries the same ID, and the
-// completion's RequestResult.Req echoes it.
-func (n *Network) RequestID(router topology.NodeID, id catalog.ID, done func(RequestResult)) (int64, error) {
-	if n.se != nil {
-		// The shared issue counter would race across shards; sharded
-		// callers precompute globally-ordered IDs and use RequestWithID.
-		return 0, fmt.Errorf("ccn: sharded network requires RequestWithID (precomputed request identity)")
+	if len(n.engs) > 1 {
+		return fmt.Errorf("ccn: sharded network requires RequestWithID (precomputed request identity)")
 	}
 	n.nextReq++
 	if err := n.RequestWithID(router, id, n.nextReq, done); err != nil {
 		n.nextReq--
-		return 0, err
+		return err
 	}
-	return n.nextReq, nil
+	return nil
 }
 
-// RequestWithID is RequestID with a caller-supplied request identity.
-// It is the request entry point for sharded runs, where IDs must be
-// precomputed in global issue order (the shared allocation counter
-// would race across shards); serial callers normally use Request or
-// RequestID instead. The caller owns uniqueness and issue-ordering of
-// the IDs.
+// RequestWithID is Request with a caller-supplied request identity; the
+// caller owns uniqueness and issue-ordering of the IDs. Run drivers that
+// number requests themselves use it, as must every caller on a sharded
+// network, where IDs are precomputed in global issue order.
 func (n *Network) RequestWithID(router topology.NodeID, id catalog.ID, reqID int64, done func(RequestResult)) error {
 	if !n.attached {
 		return fmt.Errorf("ccn: origin not attached; call AttachOriginAt or AttachOriginUniform")
@@ -878,7 +860,7 @@ func (n *Network) handleInterest(nid topology.NodeID, id catalog.ID, from pitFac
 		// are covered by the downstream router's retry timer.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: from.req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: from.req})
 		}
 		if from.request != nil {
 			n.failRequest(nid, id, from.request)
@@ -908,7 +890,7 @@ func (n *Network) handleInterest(nid topology.NodeID, id catalog.ID, from pitFac
 		nd.aggregated++
 		entry.faces = append(entry.faces, from)
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindAggregate, Router: int(nid), Content: int64(id), Req: from.req, N: entry.primaryReq})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindAggregate, Router: int(nid), Content: int64(id), Req: from.req, N: entry.primaryReq})
 		}
 		return
 	}
@@ -966,7 +948,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 	if n.opts.RetxJitter > 0 {
 		delay *= 1 + n.opts.RetxJitter*n.rng.Float64()
 	}
-	if err := n.eng.Schedule(delay, func() {
+	if err := n.schedFrom(nid, nid, delay, func() {
 		nd := n.nodes[nid]
 		if cur, pending := nd.pit[id]; !pending || cur != entry {
 			return // satisfied or flushed; the chain ends
@@ -980,7 +962,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 			delete(nd.pit, id)
 			n.expiredEntries++
 			if n.opts.Tracer != nil {
-				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindExpire, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
+				n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindExpire, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
 			}
 			for _, f := range entry.faces {
 				if f.request != nil {
@@ -992,7 +974,7 @@ func (n *Network) armRetx(nid topology.NodeID, id catalog.ID, entry *pitEntry) {
 		n.retransmissions++
 		entry.attempts++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindRetry, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindRetry, Router: int(nid), Content: int64(id), N: int64(entry.attempts), Req: entry.primaryReq})
 		}
 		forceOrigin := n.opts.Faults && n.opts.OriginFallbackRetries > 0 &&
 			entry.attempts > 1+n.opts.OriginFallbackRetries
@@ -1021,7 +1003,7 @@ func (n *Network) dataDelay(from, to topology.NodeID, propagation float64) float
 		return propagation
 	}
 	key := [2]topology.NodeID{from, to}
-	now := n.eng.Now()
+	now := n.nowAt(from)
 	ser := 1 / n.opts.LinkRate
 	start := now
 	if busy := n.linkBusy[key]; busy > start {
@@ -1045,7 +1027,7 @@ func (n *Network) originDataDelay(nid topology.NodeID) float64 {
 	}
 	key := [2]topology.NodeID{nid, originNeighbor}
 	ser := 1 / n.opts.LinkRate
-	ready := n.eng.Now() + up // when the interest reaches the origin
+	ready := n.nowAt(nid) + up // when the interest reaches the origin
 	start := ready
 	if busy := n.linkBusy[key]; busy > start {
 		start = busy
@@ -1055,7 +1037,7 @@ func (n *Network) originDataDelay(nid topology.NodeID) float64 {
 		n.queuedPackets++
 	}
 	n.linkBusy[key] = start + ser
-	return (start + ser + up) - n.eng.Now()
+	return (start + ser + up) - n.nowAt(nid)
 }
 
 // MeanQueueingDelay returns the mean link-queueing wait per data
@@ -1082,12 +1064,12 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 		// loss.
 		n.txAt(nid).interests++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindInterest, Router: int(nid), Peer: -1, Content: int64(id), Req: req, Cause: cause})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindInterest, Router: int(nid), Peer: -1, Content: int64(id), Req: req, Cause: cause})
 		}
 		if n.lost() {
 			n.droppedInterests++
 			if n.opts.Tracer != nil {
-				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "loss-interest", Req: req})
+				n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "loss-interest", Req: req})
 			}
 			return
 		}
@@ -1099,12 +1081,12 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 			// trip; the uplink itself counts as one hop.
 			n.txAt(nid).data++
 			if n.opts.Tracer != nil {
-				n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindData, Router: -1, Peer: int(nid), Content: int64(id), Hops: 1, Req: req})
+				n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindData, Router: -1, Peer: int(nid), Content: int64(id), Hops: 1, Req: req})
 			}
 			if dataLost {
 				n.droppedData++
 				if n.opts.Tracer != nil {
-					n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: -1, Peer: int(nid), Content: int64(id), Detail: "loss-data", Req: req})
+					n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: -1, Peer: int(nid), Content: int64(id), Detail: "loss-data", Req: req})
 				}
 				return
 			}
@@ -1119,7 +1101,7 @@ func (n *Network) forwardToOrigin(nid topology.NodeID, id catalog.ID, req int64,
 		// Partitioned from the origin gateway: nowhere to send.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "fault", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: -1, Content: int64(id), Detail: "fault", Req: req})
 		}
 		return
 	}
@@ -1137,18 +1119,18 @@ func (n *Network) forwardInterest(nid, next topology.NodeID, id catalog.ID, req 
 		// retry timer recovers over the recomputed route.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: req})
 		}
 		return
 	}
 	n.txAt(nid).interests++
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindInterest, Router: int(nid), Peer: int(next), Content: int64(id), Req: req, Cause: cause})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindInterest, Router: int(nid), Peer: int(next), Content: int64(id), Req: req, Cause: cause})
 	}
 	if n.lost() {
 		n.droppedInterests++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-interest", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-interest", Req: req})
 		}
 		return
 	}
@@ -1172,7 +1154,7 @@ func (n *Network) dataArrival(nid topology.NodeID, id catalog.ID, hops int, serv
 		// at crash time, so nothing downstream waits on this copy here.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Content: int64(id), Detail: "fault", Req: req})
 		}
 		return
 	}
@@ -1236,20 +1218,20 @@ func (n *Network) respond(nid topology.NodeID, id catalog.ID, f pitFace, hops in
 		// timer re-fetches over the recomputed route.
 		n.faultDrops++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: f.req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "fault", Req: f.req})
 		}
 		return
 	}
 	n.txAt(nid).data++
 	if n.opts.Tracer != nil {
-		n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindData, Router: int(nid), Peer: int(next), Content: int64(id), Hops: hops, Req: f.req})
+		n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindData, Router: int(nid), Peer: int(next), Content: int64(id), Hops: hops, Req: f.req})
 	}
 	if n.lost() {
 		// The downstream router's retransmission timer recovers the
 		// loss.
 		n.droppedData++
 		if n.opts.Tracer != nil {
-			n.opts.Tracer.Emit(trace.Event{T: n.eng.Now(), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-data", Req: f.req})
+			n.opts.Tracer.Emit(trace.Event{T: n.nowAt(nid), Kind: trace.KindDrop, Router: int(nid), Peer: int(next), Content: int64(id), Detail: "loss-data", Req: f.req})
 		}
 		return
 	}

@@ -1,11 +1,13 @@
 // Sharded execution of the CCN data plane: the same router state and
-// forwarding logic as the serial plane, driven by a des.Sharded engine
-// with each router's state owned by exactly one shard. Every event at a
-// router executes on its owning shard; cross-shard interactions (an
-// interest forwarded to a neighbor in another shard, data returning
-// across the boundary) ride network links, whose latency is at least
-// the partition's cut latency — the engine's conservative lookahead —
-// so the window protocol never reorders them.
+// forwarding logic as a serial plane, driven by the engines of a
+// des.Sharded run with each router's state owned by exactly one engine.
+// A serial plane is the one-engine case: NewNetwork wraps its engine
+// the same way. Every event at a router executes on its owning engine;
+// cross-shard interactions (an interest forwarded to a neighbor in
+// another shard, data returning across the boundary) ride network
+// links, whose latency is at least the partition's cut latency — the
+// coordinator's conservative lookahead — so the window protocol never
+// reorders them.
 package ccn
 
 import (
@@ -16,48 +18,53 @@ import (
 	"ccncoord/internal/topology"
 )
 
-// NewShardedNetwork builds a CCN data plane driven by a sharded engine.
-// shardOf maps every router to its owning shard (normally a
-// topology.PartitionGraph assignment), and the engine's lookahead must
-// be at most the partition's cut latency or cross-shard sends will be
-// rejected at forwarding time.
+// NewShardedNetwork builds a CCN data plane driven by the engines of
+// sharded. shardOf maps every router to its owning engine (normally a
+// topology.PartitionGraph assignment), and the coordinator's lookahead
+// must be at most the partition's cut latency or cross-shard sends will
+// be rejected at forwarding time.
 //
-// Only deterministic-under-sharding configurations are accepted: no
-// tracer (the event stream is a globally ordered artifact), no loss,
-// faults, probabilistic caching (shared RNG), and no finite link rate
-// (shared queueing accumulators). Callers needing those features run
-// serially — the sim layer falls back to one shard automatically.
-func NewShardedNetwork(se *des.Sharded, shardOf []int32, g *topology.Graph, cat *catalog.Catalog, opts Options) (*Network, error) {
-	switch {
-	case se == nil:
+// With more than one engine only deterministic-under-sharding
+// configurations are accepted: no tracer (the event stream is a
+// globally ordered artifact), no loss, faults, probabilistic caching
+// (shared RNG), and no finite link rate (shared queueing accumulators).
+// Callers needing those features run on one engine — the sim layer
+// resolves such scenarios to one shard automatically.
+func NewShardedNetwork(sharded *des.Sharded, shardOf []int32, g *topology.Graph, cat *catalog.Catalog, opts Options) (*Network, error) {
+	if sharded == nil {
 		return nil, fmt.Errorf("ccn: nil sharded engine")
-	case g != nil && len(shardOf) != g.N():
+	}
+	if g != nil && len(shardOf) != g.N() {
 		return nil, fmt.Errorf("ccn: shard map covers %d of %d routers", len(shardOf), g.N())
-	case opts.Tracer != nil:
-		return nil, fmt.Errorf("ccn: tracing requires serial execution (the trace stream is globally ordered)")
-	case opts.LossRate > 0:
-		return nil, fmt.Errorf("ccn: lossy fabrics require serial execution (shared loss RNG)")
-	case opts.Faults:
-		return nil, fmt.Errorf("ccn: fault-aware planes require serial execution")
-	case opts.LinkRate > 0:
-		return nil, fmt.Errorf("ccn: finite link rate requires serial execution (shared queueing state)")
-	case opts.Mode == CacheProb:
-		return nil, fmt.Errorf("ccn: probabilistic caching requires serial execution (shared admission RNG)")
+	}
+	if sharded.Shards() > 1 {
+		switch {
+		case opts.Tracer != nil:
+			return nil, fmt.Errorf("ccn: tracing requires serial execution (the trace stream is globally ordered)")
+		case opts.LossRate > 0:
+			return nil, fmt.Errorf("ccn: lossy fabrics require serial execution (shared loss RNG)")
+		case opts.Faults:
+			return nil, fmt.Errorf("ccn: fault-aware planes require serial execution")
+		case opts.LinkRate > 0:
+			return nil, fmt.Errorf("ccn: finite link rate requires serial execution (shared queueing state)")
+		case opts.Mode == CacheProb:
+			return nil, fmt.Errorf("ccn: probabilistic caching requires serial execution (shared admission RNG)")
+		}
 	}
 	for r, s := range shardOf {
-		if s < 0 || int(s) >= se.Shards() {
-			return nil, fmt.Errorf("ccn: router %d mapped to shard %d, engine has %d", r, s, se.Shards())
+		if s < 0 || int(s) >= sharded.Shards() {
+			return nil, fmt.Errorf("ccn: router %d mapped to shard %d, engine has %d", r, s, sharded.Shards())
 		}
 	}
 	n, err := buildNetwork(g, cat, opts)
 	if err != nil {
 		return nil, err
 	}
-	n.se = se
+	n.engs = make([]*des.Engine, sharded.Shards())
+	for i := range n.engs {
+		n.engs[i] = sharded.Shard(i)
+	}
 	n.shardOf = shardOf
-	n.tx = make([]txShard, se.Shards())
+	n.tx = make([]txShard, sharded.Shards())
 	return n, nil
 }
-
-// Sharded reports whether the network runs on a sharded engine.
-func (n *Network) Sharded() bool { return n.se != nil }

@@ -96,20 +96,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStep(t *testing.T) {
-	var e Engine
-	if e.Step() {
-		t.Error("Step on empty queue should be false")
-	}
-	mustSchedule(t, &e, 2, func() {})
-	if !e.Step() {
-		t.Error("Step should fire the event")
-	}
-	if e.Now() != 2 {
-		t.Errorf("clock = %v, want 2", e.Now())
-	}
-}
-
 // TestQuickMonotoneClock property: for any set of delays, events fire in
 // nondecreasing time order.
 func TestQuickMonotoneClock(t *testing.T) {
@@ -167,5 +153,23 @@ func TestPendingPeak(t *testing.T) {
 	}
 	if e.PendingPeak() != 5 {
 		t.Errorf("peak = %d after a single new event, want 5", e.PendingPeak())
+	}
+}
+
+// TestStandaloneScheduleTo: a zero-value engine is its own one-engine
+// run, so a send to engine 0 is a plain Schedule and any other
+// destination is out of range.
+func TestStandaloneScheduleTo(t *testing.T) {
+	var e Engine
+	fired := 0
+	if err := e.ScheduleTo(0, 3, func() { fired++ }); err != nil {
+		t.Fatalf("local send on a standalone engine: %v", err)
+	}
+	if err := e.ScheduleTo(1, 3, func() {}); err == nil {
+		t.Error("send to engine 1 of a standalone engine should fail")
+	}
+	e.Run()
+	if fired != 1 || e.Now() != 3 {
+		t.Errorf("after drain: fired=%d now=%v, want 1 and 3", fired, e.Now())
 	}
 }

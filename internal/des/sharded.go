@@ -8,16 +8,17 @@ import (
 	"time"
 )
 
-// Sharded is a conservative parallel discrete-event engine: P logical
-// processes ("shards"), each with its own event heap, clock, and
-// sequence counter, synchronized in bulk-synchronous windows. Each
-// window the coordinator computes the global minimum next-event time T
-// and every shard drains, in parallel, exactly the events with
-// timestamp strictly below T + lookahead. The lookahead is the minimum
-// latency of any cross-shard link, so an event sent across a shard
-// boundary at time t ≥ T arrives at t + lookahead ≥ T + lookahead —
-// never inside the window being executed — which makes the window safe
-// without rollback (classic Chandy–Misra–Bryant reasoning).
+// Sharded is the window coordinator of a conservative parallel
+// discrete-event run over P engines ("shards"), each with its own event
+// heap, clock, and sequence counter, synchronized in bulk-synchronous
+// windows. Each window the coordinator computes the global minimum
+// next-event time T and every engine drains, in parallel, exactly the
+// events with timestamp strictly below T + lookahead. The lookahead is
+// the minimum latency of any cross-shard link, so an event sent across
+// a shard boundary at time t ≥ T arrives at t + lookahead ≥ T +
+// lookahead — never inside the window being executed — which makes the
+// window safe without rollback (classic Chandy–Misra–Bryant reasoning).
+// With one engine there are no windows: Run is that engine's Run.
 //
 // Cross-shard sends are buffered in per-destination outboxes and
 // delivered at the window barrier, sorted by (at, source shard, source
@@ -27,12 +28,12 @@ import (
 // same scenario and shard count always produce the same execution.
 //
 // Setup (At/Schedule before Run) and everything after Run returns are
-// single-threaded; during Run each shard's state is touched only by its
-// own worker goroutine, and the barrier establishes the happens-before
-// edges between windows.
+// single-threaded; during Run each engine's state is touched only by
+// its own worker goroutine, and the barrier establishes the
+// happens-before edges between windows.
 type Sharded struct {
 	lookahead float64
-	shards    []*Shard
+	engines   []*Engine
 
 	crossEvents uint64 // events delivered across shard boundaries
 	barrierPeak int    // max total pending observed at window barriers
@@ -50,34 +51,6 @@ type Sharded struct {
 	matrix    [][]uint64 // cross-shard deliveries, [src][dst]
 }
 
-// Shard is one logical process of a Sharded engine. Its methods are
-// safe to call from the shard's own events during Run and from a single
-// goroutine outside Run; they mirror Engine's scheduling API.
-type Shard struct {
-	id  int
-	par *Sharded
-
-	now       float64
-	seq       uint64
-	queue     eventHeap
-	processed uint64
-	peak      int
-
-	sendSeq uint64
-	out     [][]remoteEvent // indexed by destination shard
-	inbox   []remoteEvent   // barrier scratch: merged incoming events
-
-	// Telemetry, written only by the shard's worker inside runWindow
-	// (the barrier's happens-before lets the coordinator read it).
-	windows    uint64 // active windows: windows in which this shard fired
-	busyNs     int64  // cumulative wall time spent executing events
-	lastBusyNs int64  // wall time of the latest window (barrier-wait math)
-
-	waitNs int64 // cumulative wall time idle at barriers, coordinator-written
-
-	_ [64]byte // pad out false sharing between shard structs
-}
-
 // remoteEvent is a cross-shard event in flight: ordered on delivery by
 // (at, src, seq) so execution order is independent of goroutine timing.
 type remoteEvent struct {
@@ -92,7 +65,7 @@ type remoteEvent struct {
 // width beyond the global minimum next-event time); +Inf is allowed and
 // collapses the run into a single window, which is correct only when no
 // cross-shard sends occur or ordering across shards is immaterial.
-// With shards == 1 the engine degenerates to a serial drain.
+// With shards == 1 the lookahead is unused and Run is a serial drain.
 func NewSharded(shards int, lookahead float64) (*Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("des: shard count %d < 1", shards)
@@ -100,10 +73,10 @@ func NewSharded(shards int, lookahead float64) (*Sharded, error) {
 	if shards > 1 && !(lookahead > 0) {
 		return nil, fmt.Errorf("des: lookahead %v must be positive", lookahead)
 	}
-	s := &Sharded{lookahead: lookahead, shards: make([]*Shard, shards)}
+	s := &Sharded{lookahead: lookahead, engines: make([]*Engine, shards)}
 	s.matrix = make([][]uint64, shards)
-	for i := range s.shards {
-		s.shards[i] = &Shard{id: i, par: s, out: make([][]remoteEvent, shards)}
+	for i := range s.engines {
+		s.engines[i] = &Engine{id: i, par: s, out: make([][]remoteEvent, shards)}
 		s.matrix[i] = make([]uint64, shards)
 	}
 	return s, nil
@@ -115,20 +88,17 @@ func NewSharded(shards int, lookahead float64) (*Sharded, error) {
 // traffic matrix — are collected regardless. Call before Run.
 func (s *Sharded) EnableTelemetry() { s.telemetry = true }
 
-// Shards returns the number of logical processes.
-func (s *Sharded) Shards() int { return len(s.shards) }
+// Shards returns the number of engines.
+func (s *Sharded) Shards() int { return len(s.engines) }
 
-// Shard returns the i-th logical process.
-func (s *Sharded) Shard(i int) *Shard { return s.shards[i] }
-
-// Lookahead returns the conservative window width.
-func (s *Sharded) Lookahead() float64 { return s.lookahead }
+// Shard returns the i-th engine.
+func (s *Sharded) Shard(i int) *Engine { return s.engines[i] }
 
 // Now returns the maximum shard clock — after Run, the virtual time of
 // the last event processed anywhere.
 func (s *Sharded) Now() float64 {
 	max := 0.0
-	for _, sh := range s.shards {
+	for _, sh := range s.engines {
 		if sh.now > max {
 			max = sh.now
 		}
@@ -141,7 +111,7 @@ func (s *Sharded) Now() float64 {
 // changes where and when events execute, not which events exist.
 func (s *Sharded) Processed() uint64 {
 	var total uint64
-	for _, sh := range s.shards {
+	for _, sh := range s.engines {
 		total += sh.processed
 	}
 	return total
@@ -152,7 +122,7 @@ func (s *Sharded) Processed() uint64 {
 // and so are always in some heap between windows).
 func (s *Sharded) Pending() int {
 	total := 0
-	for _, sh := range s.shards {
+	for _, sh := range s.engines {
 		total += len(sh.queue)
 	}
 	return total
@@ -166,7 +136,7 @@ func (s *Sharded) Pending() int {
 // engine's gauge does.
 func (s *Sharded) PendingPeak() int {
 	peak := s.barrierPeak
-	for _, sh := range s.shards {
+	for _, sh := range s.engines {
 		if sh.peak > peak {
 			peak = sh.peak
 		}
@@ -224,13 +194,13 @@ type ShardedStats struct {
 // scenario and shard count.
 func (s *Sharded) Stats() ShardedStats {
 	st := ShardedStats{
-		Shards:           len(s.shards),
+		Shards:           len(s.engines),
 		Lookahead:        s.lookahead,
 		Windows:          s.windows,
 		FirstWindowAt:    s.firstT,
 		LastWindowAt:     s.lastT,
 		CrossShardEvents: s.crossEvents,
-		PerShard:         make([]ShardStats, len(s.shards)),
+		PerShard:         make([]ShardStats, len(s.engines)),
 	}
 	if math.IsInf(st.Lookahead, 0) {
 		st.Lookahead = -1
@@ -238,7 +208,7 @@ func (s *Sharded) Stats() ShardedStats {
 	if s.windows > 1 {
 		st.MeanWindowSpanMs = (s.lastT - s.firstT) / float64(s.windows-1)
 	}
-	for i, sh := range s.shards {
+	for i, sh := range s.engines {
 		st.PerShard[i] = ShardStats{
 			Shard:             i,
 			Processed:         sh.processed,
@@ -257,80 +227,14 @@ func (s *Sharded) Stats() ShardedStats {
 	return st
 }
 
-// ID returns the shard's index in [0, Shards()).
-func (sh *Shard) ID() int { return sh.id }
-
-// Now returns the shard's local clock.
-func (sh *Shard) Now() float64 { return sh.now }
-
-// Processed returns how many events this shard has fired.
-func (sh *Shard) Processed() uint64 { return sh.processed }
-
-// Pending returns this shard's queued event count.
-func (sh *Shard) Pending() int { return len(sh.queue) }
-
-// At enqueues fn on this shard at absolute time t, which must not be in
-// the shard's past.
-func (sh *Shard) At(t float64, fn func()) error {
-	if t < sh.now {
-		return fmt.Errorf("des: shard %d cannot schedule at %v, current time is %v", sh.id, t, sh.now)
-	}
-	if fn == nil {
-		return fmt.Errorf("des: nil event callback")
-	}
-	sh.seq++
-	sh.queue.push(event{at: t, seq: sh.seq, fn: fn})
-	if len(sh.queue) > sh.peak {
-		sh.peak = len(sh.queue)
-	}
-	return nil
-}
-
-// Schedule enqueues fn on this shard after the given non-negative delay.
-func (sh *Shard) Schedule(delay float64, fn func()) error {
-	if delay < 0 {
-		return fmt.Errorf("des: negative delay %v", delay)
-	}
-	return sh.At(sh.now+delay, fn)
-}
-
-// ScheduleTo enqueues fn on shard dst after the given delay. Local
-// sends (dst == this shard) behave exactly like Schedule. Cross-shard
-// sends must respect the conservative contract delay ≥ lookahead —
-// the engine's safety argument depends on it — and are buffered in the
-// sender's outbox for deterministic delivery at the next barrier.
-func (sh *Shard) ScheduleTo(dst int, delay float64, fn func()) error {
-	if dst == sh.id {
-		return sh.Schedule(delay, fn)
-	}
-	if dst < 0 || dst >= len(sh.par.shards) {
-		return fmt.Errorf("des: shard %d out of range [0,%d)", dst, len(sh.par.shards))
-	}
-	if delay < sh.par.lookahead {
-		return fmt.Errorf("des: cross-shard delay %v below lookahead %v violates the conservative contract", delay, sh.par.lookahead)
-	}
-	if fn == nil {
-		return fmt.Errorf("des: nil event callback")
-	}
-	sh.sendSeq++
-	sh.out[dst] = append(sh.out[dst], remoteEvent{at: sh.now + delay, src: int32(sh.id), seq: sh.sendSeq, fn: fn})
-	return nil
-}
-
 // Run fires events until every heap and mailbox drains. With one shard
 // it is a serial drain; otherwise it loops bulk-synchronous windows:
 // pick the global minimum next-event time T, let every shard execute
 // events with at < T+lookahead in parallel, then deliver outboxes in
 // deterministic (at, src, seq) order at the barrier.
 func (s *Sharded) Run() {
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		for len(sh.queue) > 0 {
-			ev := sh.queue.pop()
-			sh.now = ev.at
-			sh.processed++
-			ev.fn()
-		}
+	if len(s.engines) == 1 {
+		s.engines[0].Run()
 		return
 	}
 
@@ -340,10 +244,10 @@ func (s *Sharded) Run() {
 	// channel send and WaitGroup wait carry the happens-before edges
 	// between the coordinator and each worker.
 	var wg sync.WaitGroup
-	wake := make([]chan float64, len(s.shards))
-	for i, sh := range s.shards {
+	wake := make([]chan float64, len(s.engines))
+	for i, sh := range s.engines {
 		wake[i] = make(chan float64, 1)
-		go func(sh *Shard, c <-chan float64) {
+		go func(sh *Engine, c <-chan float64) {
 			for bound := range c {
 				sh.runWindow(bound)
 				wg.Done()
@@ -358,7 +262,7 @@ func (s *Sharded) Run() {
 
 	for {
 		t := math.Inf(1)
-		for _, sh := range s.shards {
+		for _, sh := range s.engines {
 			if len(sh.queue) > 0 && sh.queue[0].at < t {
 				t = sh.queue[0].at
 			}
@@ -376,7 +280,7 @@ func (s *Sharded) Run() {
 			w0 = time.Now()
 		}
 		bound := t + s.lookahead
-		wg.Add(len(s.shards))
+		wg.Add(len(s.engines))
 		for i := range wake {
 			wake[i] <- bound
 		}
@@ -387,7 +291,7 @@ func (s *Sharded) Run() {
 			// established the happens-before edge that makes the
 			// worker-written lastBusyNs visible here.
 			wall := time.Since(w0).Nanoseconds()
-			for _, sh := range s.shards {
+			for _, sh := range s.engines {
 				if d := wall - sh.lastBusyNs; d > 0 {
 					sh.waitNs += d
 				}
@@ -399,30 +303,27 @@ func (s *Sharded) Run() {
 	}
 }
 
-// runWindow drains this shard's events strictly below bound. Events the
-// window generates locally (including at times below bound) execute in
-// the same window; cross-shard sends land in outboxes.
-func (sh *Shard) runWindow(bound float64) {
-	tel := sh.par.telemetry
+// runWindow drains this engine's events strictly below bound. Events
+// the window generates locally (including at times below bound) execute
+// in the same window; cross-shard sends land in outboxes.
+func (e *Engine) runWindow(bound float64) {
+	tel := e.par.telemetry
 	var t0 time.Time
 	if tel {
 		t0 = time.Now()
 	}
 	fired := false
-	for len(sh.queue) > 0 && sh.queue[0].at < bound {
-		ev := sh.queue.pop()
-		sh.now = ev.at
-		sh.processed++
+	for len(e.queue) > 0 && e.queue[0].at < bound {
+		e.step()
 		fired = true
-		ev.fn()
 	}
 	if fired {
-		sh.windows++
+		e.windows++
 	}
 	if tel {
 		busy := time.Since(t0).Nanoseconds()
-		sh.busyNs += busy
-		sh.lastBusyNs = busy
+		e.busyNs += busy
+		e.lastBusyNs = busy
 	}
 }
 
@@ -431,9 +332,9 @@ func (sh *Shard) runWindow(bound float64) {
 // the destination's tie-breaking sequence numbers — is a deterministic
 // function of the event content alone.
 func (s *Sharded) deliver() {
-	for d, dst := range s.shards {
+	for d, dst := range s.engines {
 		dst.inbox = dst.inbox[:0]
-		for _, src := range s.shards {
+		for _, src := range s.engines {
 			if len(src.out[d]) > 0 {
 				s.matrix[src.id][d] += uint64(len(src.out[d]))
 				dst.inbox = append(dst.inbox, src.out[d]...)
@@ -458,12 +359,8 @@ func (s *Sharded) deliver() {
 			if re.at < dst.now {
 				panic(fmt.Sprintf("des: conservative violation: event at %v delivered to shard %d at local time %v", re.at, d, dst.now))
 			}
-			dst.seq++
-			dst.queue.push(event{at: re.at, seq: dst.seq, fn: re.fn})
+			dst.push(re.at, re.fn)
 			re.fn = nil // release for GC
-		}
-		if len(dst.queue) > dst.peak {
-			dst.peak = len(dst.queue)
 		}
 		s.crossEvents += uint64(len(dst.inbox))
 	}

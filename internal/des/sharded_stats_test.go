@@ -13,7 +13,7 @@ import (
 func TestShardedStatsAccounting(t *testing.T) {
 	const tokens = 24
 	var tr ringTrace
-	s := tr.runSharded(4, tokens)
+	s := tr.drainSharded(4, tokens)
 	st := s.Stats()
 
 	if st.Shards != 4 || st.Lookahead != 1.0 {
@@ -71,8 +71,8 @@ func TestShardedStatsAccounting(t *testing.T) {
 // the whole struct must match).
 func TestShardedStatsDeterministic(t *testing.T) {
 	var a, b ringTrace
-	sa := a.runSharded(4, 24).Stats()
-	sb := b.runSharded(4, 24).Stats()
+	sa := a.drainSharded(4, 24).Stats()
+	sb := b.drainSharded(4, 24).Stats()
 	if !reflect.DeepEqual(sa, sb) {
 		t.Errorf("stats diverge across identical runs:\na: %+v\nb: %+v", sa, sb)
 	}
@@ -82,7 +82,7 @@ func TestShardedStatsDeterministic(t *testing.T) {
 // it is collected without disturbing the deterministic counters.
 func TestShardedStatsTelemetryTiming(t *testing.T) {
 	var plain, timed ringTrace
-	ref := plain.runSharded(4, 24).Stats()
+	ref := plain.drainSharded(4, 24).Stats()
 
 	timed.logs = make([][]float64, ringNodes)
 	s, err := NewSharded(4, 1.0)
@@ -136,7 +136,7 @@ func TestShardedStatsTelemetryTiming(t *testing.T) {
 // sanitized so the stats always marshal to JSON.
 func TestShardedStatsSerialAndInfinite(t *testing.T) {
 	var tr ringTrace
-	st := tr.runSharded(1, 8).Stats()
+	st := tr.drainSharded(1, 8).Stats()
 	if st.Windows != 0 || len(st.PerShard) != 1 || st.CrossShardMatrix != nil {
 		t.Errorf("serial drain stats = %+v, want no windows, one shard, no matrix", st)
 	}

@@ -25,7 +25,7 @@ const ringNodes = 16
 // contract for any partition of the ring.
 func ringLatency(i int) float64 { return 1.0 + float64(i)*0.125 }
 
-func (rt *ringTrace) runSerial(tokens int) {
+func (rt *ringTrace) drainSerial(tokens int) {
 	rt.logs = make([][]float64, ringNodes)
 	var e Engine
 	var visit func(node int, hops int) func()
@@ -50,7 +50,7 @@ func (rt *ringTrace) runSerial(tokens int) {
 	e.Run()
 }
 
-func (rt *ringTrace) runSharded(shards, tokens int) *Sharded {
+func (rt *ringTrace) drainSharded(shards, tokens int) *Sharded {
 	rt.logs = make([][]float64, ringNodes)
 	s, err := NewSharded(shards, 1.0)
 	if err != nil {
@@ -88,10 +88,10 @@ func (rt *ringTrace) runSharded(shards, tokens int) *Sharded {
 func TestShardedMatchesSerial(t *testing.T) {
 	const tokens = 24
 	var serial ringTrace
-	serial.runSerial(tokens)
+	serial.drainSerial(tokens)
 	for _, shards := range []int{1, 2, 4, 8} {
 		var sharded ringTrace
-		s := sharded.runSharded(shards, tokens)
+		s := sharded.drainSharded(shards, tokens)
 		if !reflect.DeepEqual(serial.logs, sharded.logs) {
 			t.Errorf("shards=%d: per-node timelines diverge from serial", shards)
 		}
@@ -107,8 +107,8 @@ func TestShardedMatchesSerial(t *testing.T) {
 func TestShardedDeterminism(t *testing.T) {
 	const tokens = 24
 	var a, b ringTrace
-	sa := a.runSharded(4, tokens)
-	sb := b.runSharded(4, tokens)
+	sa := a.drainSharded(4, tokens)
+	sb := b.drainSharded(4, tokens)
 	if !reflect.DeepEqual(a.logs, b.logs) {
 		t.Error("two identical 4-shard runs produced different traces")
 	}
@@ -131,7 +131,7 @@ func TestShardedGauges(t *testing.T) {
 
 	for _, shards := range []int{2, 4} {
 		var tr ringTrace
-		s := tr.runSharded(shards, tokens)
+		s := tr.drainSharded(shards, tokens)
 		if got := s.Processed(); got != wantProcessed {
 			t.Errorf("shards=%d: Processed() = %d, want %d (same event set as serial)", shards, got, wantProcessed)
 		}

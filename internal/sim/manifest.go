@@ -146,10 +146,10 @@ type ManifestEngine struct {
 	CrossShardEvents uint64 `json:"cross_shard_events"`
 	// ShardFallbackReason records why an explicitly requested
 	// multi-shard run (Scenario.Shards >= 2) was downgraded to the
-	// serial engine — a non-shardable scenario feature, or a partition
-	// with no lookahead. Empty (and omitted from the JSON, keeping
-	// pre-existing manifests byte-identical) when no fallback happened;
-	// the automatic rule choosing serial is policy, not a fallback.
+	// serial engine: the non-shardable scenario features. Empty (and
+	// omitted from the JSON, keeping pre-existing manifests
+	// byte-identical) when no fallback happened; the automatic rule
+	// choosing serial is policy, not a fallback.
 	ShardFallbackReason string `json:"shard_fallback_reason,omitempty"`
 
 	// Extended sharded-engine telemetry, populated only under
@@ -173,8 +173,7 @@ type ManifestTrace struct {
 
 // buildManifest assembles the manifest from the run's finished
 // accounting. It copies; it does not re-measure. The caller supplies
-// the engine gauges directly so the serial and sharded engines share
-// this path.
+// the engine gauges.
 func buildManifest(sc Scenario, res Result, engine ManifestEngine, net *ccn.Network, reg *metrics.Registry, avail metrics.AvailabilitySnapshot) *RunManifest {
 	nodes := net.AllStats()
 	m := &RunManifest{

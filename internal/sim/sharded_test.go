@@ -3,14 +3,9 @@ package sim
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"ccncoord/internal/ccn"
-	"ccncoord/internal/fault"
-	"ccncoord/internal/topology"
-	"ccncoord/internal/trace"
-	"ccncoord/internal/workload"
 )
 
 // TestRunShardedMatchesSerial is the tentpole determinism guarantee:
@@ -82,80 +77,6 @@ func TestRunShardedMatchesSerial(t *testing.T) {
 		if engines[1].CrossShardEvents == 0 {
 			t.Errorf("%v: sharded run reports no cross-shard events on a connected topology", policy)
 		}
-	}
-}
-
-// TestResolveShards pins the shard-count resolution rules: explicit
-// counts honored and clamped, the auto rule's dense threshold, and the
-// serial fallback for every non-shardable feature.
-func TestResolveShards(t *testing.T) {
-	base := testScenario()
-	if got := ResolveShards(base); got != 1 {
-		t.Errorf("auto on %d routers = %d shards, want 1 (below threshold)", base.Topology.N(), got)
-	}
-	explicit := base
-	explicit.Shards = 4
-	if got := ResolveShards(explicit); got != 4 {
-		t.Errorf("explicit 4 shards resolved to %d", got)
-	}
-	clamped := base
-	clamped.Shards = 10 * base.Topology.N()
-	if got := ResolveShards(clamped); got != base.Topology.N() {
-		t.Errorf("oversized request resolved to %d shards, want clamp to %d routers", got, base.Topology.N())
-	}
-
-	// Above the dense threshold the auto rule engages.
-	levels, err := topology.ParseHierSpec("4,8,40", "20,5,1", "1,1,0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := topology.Hierarchical("auto-test", levels, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.N() < topology.DenseAutoThreshold {
-		t.Fatalf("test graph has %d routers, need >= %d", big.N(), topology.DenseAutoThreshold)
-	}
-	auto := base
-	auto.Topology = big
-	want := runtime.GOMAXPROCS(0)
-	if want > maxAutoShards {
-		want = maxAutoShards
-	}
-	if want < 2 {
-		want = 1 // single-core machines stay serial
-	}
-	if got := ResolveShards(auto); got != want {
-		t.Errorf("auto on %d routers = %d shards, want %d", big.N(), got, want)
-	}
-
-	// Every non-shardable feature forces serial even when asked.
-	cases := map[string]func(*Scenario){
-		"loss":      func(s *Scenario) { s.LossRate = 0.1; s.RetxTimeout = 300 },
-		"link rate": func(s *Scenario) { s.LinkRate = 1 },
-		"faults": func(s *Scenario) {
-			s.RetxTimeout = 300
-			s.FaultScript = []fault.Event{{At: 10, Kind: fault.RouterDown, Node: 1}}
-		},
-		"tracer":    func(s *Scenario) { s.Tracer = &trace.Tracer{} },
-		"probcache": func(s *Scenario) { s.Policy = PolicyProbCache },
-		"wl factory": func(s *Scenario) {
-			s.WorkloadFactory = func(topology.NodeID) (workload.Generator, error) { return nil, nil }
-		},
-	}
-	for name, mutate := range cases {
-		sc := testScenario()
-		sc.Shards = 4
-		mutate(&sc)
-		if got := ResolveShards(sc); got != 1 {
-			t.Errorf("%s: resolved to %d shards, want serial fallback", name, got)
-		}
-	}
-
-	neg := testScenario()
-	neg.Shards = -1
-	if err := neg.Validate(); err == nil {
-		t.Error("negative shard count passed validation")
 	}
 }
 

@@ -103,6 +103,39 @@ func TestManifestOmitsTelemetryWhenOff(t *testing.T) {
 	}
 }
 
+// TestSerialEngineTelemetryOmitted pins the manifest rule for one-engine
+// runs: there are no windows, shards or cross-shard traffic to report,
+// so EngineTelemetry on a width-1 run leaves the window, per-shard and
+// matrix fields out and the manifest byte-identical to a telemetry-off
+// run's.
+func TestSerialEngineTelemetryOmitted(t *testing.T) {
+	manifest := func(telemetry bool) []byte {
+		sc := testScenario()
+		sc.Requests = 5000
+		sc.Shards = 1
+		sc.EmitManifest = true
+		sc.EngineTelemetry = telemetry
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Manifest.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	on := manifest(true)
+	for _, key := range []string{`"windows"`, `"mean_window_span_ms"`, `"shard_stats"`, `"cross_shard_matrix"`} {
+		if bytes.Contains(on, []byte(key)) {
+			t.Errorf("width-1 telemetry manifest contains %s", key)
+		}
+	}
+	if !bytes.Equal(on, manifest(false)) {
+		t.Error("width-1 manifest changes with EngineTelemetry on")
+	}
+}
+
 // TestShardedEngineTelemetryInManifest runs a sharded scenario with
 // engine telemetry on and checks the manifest carries consistent window
 // and per-shard accounting.
