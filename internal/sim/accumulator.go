@@ -59,9 +59,11 @@ func newAccumulator(sc Scenario, net *ccn.Network) (*accumulator, error) {
 	// (deep retry backoff) land in the histogram's overflow counter and
 	// saturate quantile estimates at the range edge instead of skewing
 	// them. net.Routes() is the routing backend the network forwards
-	// with: on the dense backend MaxDist reads the cached matrix, and on
-	// sparse backends it avoids materializing an O(n²) matrix just for
-	// this scalar.
+	// with: on the dense backend MaxDist reads the cached matrix; on the
+	// LRU backend it runs one parallel Dijkstra sweep without an O(n²)
+	// matrix, and the sweep leaves its trees cached while capacity
+	// lasts. Every run builds the accumulator before it starts, so its
+	// forwarding queries find their trees already resident.
 	maxRTT := 2 * (sc.AccessLatency + 2*net.Routes().MaxDist() + sc.OriginLatency) * rttHeadroom
 	hist, err := reg.Histogram("latency_ms", 0, math.Max(maxRTT, 1), 2048)
 	if err != nil {

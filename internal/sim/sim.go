@@ -542,10 +542,10 @@ func Run(sc Scenario) (Result, error) {
 // feed the accumulator as they fire and request identities come from a
 // counter; on several, request identities are dealt up front in global
 // arrival order and each shard buffers its completions, merged after
-// the run in the serial completion order (see sharded.go). The hooks
-// that need globally ordered shared state — tracing, faults, chaos, the
-// failure detector and checkpoints — only ever run on one engine
-// (shardBlockers).
+// the run in (completion time, request ID) order (see sharded.go). The
+// hooks that need globally ordered shared state — tracing, faults,
+// chaos, the failure detector and checkpoints — only ever run on one
+// engine (shardBlockers).
 func run(sc Scenario, parts int, fallback string) (Result, error) {
 	shardOf := make([]int32, sc.Topology.N())
 	lookahead := math.Inf(1)
@@ -692,14 +692,14 @@ func run(sc Scenario, parts int, fallback string) (Result, error) {
 	// exactly one shard.
 	warmCB := func(ccn.RequestResult) {}
 	measuredCBs := make([]func(ccn.RequestResult), parts)
-	var acc *accumulator
+	acc, err := newAccumulator(sc, net)
+	if err != nil {
+		return Result{}, err
+	}
 	var bufs [][]ccn.RequestResult
 	var ids [][]int64
 	var nextID int64
 	if parts == 1 {
-		if acc, err = newAccumulator(sc, net); err != nil {
-			return Result{}, err
-		}
 		measuredCBs[0] = func(result ccn.RequestResult) {
 			acc.observe(result)
 			if sc.Tracer != nil {
@@ -1016,15 +1016,7 @@ func run(sc Scenario, parts int, fallback string) (Result, error) {
 		}
 	}
 	if parts > 1 {
-		// Built only now: nothing needed it during the run, and on the
-		// LRU routing backend its diameter sweep reuses the trees the run
-		// cached instead of running one Dijkstra per router up front.
-		if acc, err = newAccumulator(sc, net); err != nil {
-			return Result{}, err
-		}
-		for _, result := range mergeCompletions(bufs) {
-			acc.observe(result)
-		}
+		mergeCompletions(bufs, acc.observe)
 	}
 	if err := acc.fill(&res, net); err != nil {
 		return Result{}, err

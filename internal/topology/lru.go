@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"ccncoord/internal/par"
 )
@@ -30,37 +31,78 @@ import (
 // recomputes against the new structure — the same contract as the dense
 // APSP cache.
 //
-// LRUPaths is safe for concurrent readers (one mutex serializes
-// queries); mutating the underlying Graph still requires external
-// synchronization, exactly as with the dense cache.
+// Concurrency: the cached trees are published in a per-source slot
+// array, so a hit — in Dist, Next, PathTree or each hop of Path — is
+// one atomic load plus one atomic hit count, with no lock. The
+// generation stamp and the slots sit in one atomically swapped state,
+// so a flush is race-free. A miss runs its Dijkstra under a mutex into
+// freshly allocated rows, never into an evicted tree's: a concurrent
+// reader may still hold the evicted tree, so published rows are never
+// rewritten. Eviction is CLOCK: a tree hit since the hand last passed
+// it gets a second chance. Mutating the underlying Graph still
+// requires external synchronization, exactly as with the dense cache.
 type LRUPaths struct {
 	g   *Graph
 	cap int
 
-	mu      sync.Mutex
-	gen     uint64
-	trees   map[NodeID]*lruTree
-	head    *lruTree // most recently used
-	tail    *lruTree // least recently used
+	// state is the published cache; readers load it without mu.
+	state atomic.Pointer[lruState]
+	// lateHits counts hits that landed on a tree after its eviction (the
+	// reader loaded it just before), so Stats stays exact.
+	lateHits atomic.Uint64
+
+	mu      sync.Mutex // guards every field below
+	clock   []*lruTree // resident trees in CLOCK order
+	hand    int        // next CLOCK position to examine
 	scratch *spScratch
 
-	hits, misses, evictions uint64
+	// retiredHits sums the hit counts of evicted and flushed trees.
+	retiredHits, misses, evictions uint64
 
 	// Cached whole-graph aggregates (MaxDist / MeanDist sweep), valid
-	// for aggGen only.
+	// until the next flush.
 	aggValid bool
-	aggGen   uint64
 	maxDist  float64
 	distSum  float64
 }
 
-// lruTree is one cached single-source shortest-path tree.
+// lruState is one graph generation's published cache: slots[src] is
+// src's resident tree, or nil.
+type lruState struct {
+	gen   uint64
+	slots []atomic.Pointer[lruTree]
+}
+
+func newLRUState(gen uint64, n int) *lruState {
+	return &lruState{gen: gen, slots: make([]atomic.Pointer[lruTree], n)}
+}
+
+// lruTree is one cached single-source shortest-path tree. Its rows are
+// never written once the tree is published.
 type lruTree struct {
-	src       NodeID
-	dist      []float64
-	next      []NodeID
-	parent    []NodeID
-	prev, nxt *lruTree
+	src    NodeID
+	dist   []float64
+	next   []NodeID
+	parent []NodeID
+	// hits counts the queries this tree answered. Eviction swaps in
+	// retiredBit, so a hit landing afterwards shows the bit and is
+	// counted in lateHits instead.
+	hits atomic.Uint64
+	// seen is hits as the CLOCK hand last read it (guarded by mu): a
+	// tree whose count moved since was referenced.
+	seen uint64
+}
+
+// retiredBit marks an evicted tree's hit counter.
+const retiredBit = 1 << 63
+
+func newLRUTree(src NodeID, n int) *lruTree {
+	return &lruTree{
+		src:    src,
+		dist:   make([]float64, n),
+		next:   make([]NodeID, n),
+		parent: make([]NodeID, n),
+	}
 }
 
 // DefaultLRUBudgetBytes is the tree-cache memory budget when
@@ -103,13 +145,13 @@ func NewLRUPaths(g *Graph, capacity int) *LRUPaths {
 	if capacity > n && n > 0 {
 		capacity = n
 	}
-	return &LRUPaths{
+	l := &LRUPaths{
 		g:       g,
 		cap:     capacity,
-		gen:     g.gen,
-		trees:   make(map[NodeID]*lruTree, capacity),
 		scratch: newSPScratch(n, g.edges),
 	}
+	l.state.Store(newLRUState(g.gen, n))
+	return l
 }
 
 // N returns the number of nodes covered.
@@ -119,116 +161,120 @@ func (l *LRUPaths) N() int { return l.g.N() }
 func (l *LRUPaths) Capacity() int { return l.cap }
 
 // Stats returns the cumulative query-cache counters: tree hits, misses
-// (each miss is one Dijkstra), and evictions.
+// (each miss is one Dijkstra; Warm's fills count too), and evictions.
+// The counts are exact once concurrent queries have returned.
 func (l *LRUPaths) Stats() (hits, misses, evictions uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hits, l.misses, l.evictions
+	hits = l.retiredHits + l.lateHits.Load()
+	for _, t := range l.clock {
+		hits += t.hits.Load()
+	}
+	return hits, l.misses, l.evictions
 }
 
-// flushLocked drops every cached tree after a graph mutation; the node
-// count may have changed, so scratch and tree buffers are resized by
-// reallocation.
-func (l *LRUPaths) flushLocked() {
+// tree returns src's shortest-path tree: lock-free when the current
+// generation has it published, else through the locked miss path.
+func (l *LRUPaths) tree(src NodeID) *lruTree {
+	if st := l.state.Load(); st.gen == l.g.gen {
+		if t := st.slots[src].Load(); t != nil {
+			t.hit(l)
+			return t
+		}
+	}
+	return l.miss(src)
+}
+
+// hit counts one query answered by t.
+func (t *lruTree) hit(l *LRUPaths) {
+	if t.hits.Add(1)&retiredBit != 0 {
+		l.lateHits.Add(1)
+	}
+}
+
+// miss computes and publishes src's tree. A concurrent query that
+// filled it first turns this one into a hit.
+func (l *LRUPaths) miss(src NodeID) *lruTree {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := l.currentLocked()
+	if t := st.slots[src].Load(); t != nil {
+		t.hit(l)
+		return t
+	}
+	l.misses++
+	t := newLRUTree(src, l.g.N())
+	l.g.dijkstraRows(src, false, l.scratch, t.dist, t.next, t.parent)
+	l.insertLocked(st, t)
+	return t
+}
+
+// currentLocked returns the published state, first dropping every
+// cached tree if the graph mutated since it was published; the node
+// count may have changed, so the state and scratch are reallocated.
+func (l *LRUPaths) currentLocked() *lruState {
+	st := l.state.Load()
+	if st.gen == l.g.gen {
+		return st
+	}
 	n := l.g.N()
-	l.gen = l.g.gen
-	l.trees = make(map[NodeID]*lruTree, l.cap)
-	l.head, l.tail = nil, nil
+	for _, t := range l.clock {
+		l.retiredHits += t.hits.Swap(retiredBit)
+	}
+	clear(l.clock)
+	l.clock, l.hand = l.clock[:0], 0
 	l.scratch = newSPScratch(n, l.g.edges)
 	l.aggValid = false
 	if l.cap > n && n > 0 {
 		l.cap = n
 	}
+	st = newLRUState(l.g.gen, n)
+	l.state.Store(st)
+	return st
 }
 
-// treeLocked returns src's shortest-path tree, computing and caching it
-// on a miss (evicting the least recently used tree when full). The
-// caller holds l.mu.
-func (l *LRUPaths) treeLocked(src NodeID) *lruTree {
-	if l.gen != l.g.gen {
-		l.flushLocked()
-	}
-	if t := l.trees[src]; t != nil {
-		l.hits++
-		l.touchLocked(t)
-		return t
-	}
-	l.misses++
-	n := l.g.N()
-	var t *lruTree
-	if len(l.trees) >= l.cap && l.tail != nil {
-		// Reuse the evicted tree's buffers: steady state allocates
-		// nothing per miss.
-		t = l.tail
-		l.unlinkLocked(t)
-		delete(l.trees, t.src)
+// insertLocked publishes t, first evicting one tree when the cache is
+// full.
+func (l *LRUPaths) insertLocked(st *lruState, t *lruTree) {
+	if len(l.clock) < l.cap {
+		l.clock = append(l.clock, t)
+	} else {
+		i := l.victimLocked()
+		old := l.clock[i]
+		st.slots[old.src].Store(nil)
+		l.retiredHits += old.hits.Swap(retiredBit)
 		l.evictions++
-	} else {
-		t = &lruTree{
-			dist:   make([]float64, n),
-			next:   make([]NodeID, n),
-			parent: make([]NodeID, n),
+		l.clock[i] = t
+	}
+	st.slots[t.src].Store(t)
+}
+
+// victimLocked moves the CLOCK hand past trees hit since its last pass
+// and returns the position of the first one that was not — or, when
+// every tree was hit, of the one the hand started at.
+func (l *LRUPaths) victimLocked() int {
+	for range l.clock {
+		t := l.clock[l.hand]
+		h := t.hits.Load()
+		if h == t.seen {
+			break
 		}
+		t.seen = h
+		l.hand = (l.hand + 1) % len(l.clock)
 	}
-	t.src = src
-	l.g.dijkstraRows(src, false, l.scratch, t.dist, t.next, t.parent)
-	l.trees[src] = t
-	l.pushFrontLocked(t)
-	return t
-}
-
-// touchLocked moves t to the most-recently-used position.
-func (l *LRUPaths) touchLocked(t *lruTree) {
-	if l.head == t {
-		return
-	}
-	l.unlinkLocked(t)
-	l.pushFrontLocked(t)
-}
-
-// unlinkLocked removes t from the LRU list.
-func (l *LRUPaths) unlinkLocked(t *lruTree) {
-	if t.prev != nil {
-		t.prev.nxt = t.nxt
-	} else {
-		l.head = t.nxt
-	}
-	if t.nxt != nil {
-		t.nxt.prev = t.prev
-	} else {
-		l.tail = t.prev
-	}
-	t.prev, t.nxt = nil, nil
-}
-
-// pushFrontLocked inserts t at the most-recently-used position.
-func (l *LRUPaths) pushFrontLocked(t *lruTree) {
-	t.prev, t.nxt = nil, l.head
-	if l.head != nil {
-		l.head.prev = t
-	}
-	l.head = t
-	if l.tail == nil {
-		l.tail = t
-	}
+	i := l.hand
+	l.hand = (l.hand + 1) % len(l.clock)
+	return i
 }
 
 // Dist returns the shortest-path length from i to j, bit-identical to
 // the dense backend.
-func (l *LRUPaths) Dist(i, j NodeID) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.treeLocked(i).dist[j]
-}
+func (l *LRUPaths) Dist(i, j NodeID) float64 { return l.tree(i).dist[j] }
 
 // Next returns the first hop out of i on a shortest path toward j, or
 // -1 when i == j or j is unreachable; bit-identical to the dense
 // backend.
-func (l *LRUPaths) Next(i, j NodeID) NodeID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.treeLocked(i).next[j]
-}
+func (l *LRUPaths) Next(i, j NodeID) NodeID { return l.tree(i).next[j] }
 
 // Path returns the node sequence from src to dst (inclusive), walking
 // first hops across per-source trees exactly like APSP.Path walks Next
@@ -236,8 +282,6 @@ func (l *LRUPaths) Next(i, j NodeID) NodeID {
 // included. A cold call can fill up to path-length trees; see PathTree
 // for the single-tree variant.
 func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := l.g.N()
 	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {
 		return nil, fmt.Errorf("topology: path endpoints (%d,%d) out of range", src, dst)
@@ -248,7 +292,7 @@ func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
 	path := []NodeID{src}
 	cur := src
 	for cur != dst {
-		nxt := l.treeLocked(cur).next[dst]
+		nxt := l.tree(cur).next[dst]
 		if nxt < 0 {
 			return nil, fmt.Errorf("topology: %d unreachable from %d", dst, src)
 		}
@@ -267,8 +311,6 @@ func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
 // shortest path of the same length as Path's; under exact equal-cost
 // ties the node sequence may differ from the dense walk.
 func (l *LRUPaths) PathTree(src, dst NodeID) ([]NodeID, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := l.g.N()
 	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {
 		return nil, fmt.Errorf("topology: path endpoints (%d,%d) out of range", src, dst)
@@ -276,7 +318,7 @@ func (l *LRUPaths) PathTree(src, dst NodeID) ([]NodeID, error) {
 	if src == dst {
 		return []NodeID{src}, nil
 	}
-	t := l.treeLocked(src)
+	t := l.tree(src)
 	// Walk predecessors dst -> src, then reverse in place.
 	path := []NodeID{dst}
 	cur := dst
@@ -297,145 +339,161 @@ func (l *LRUPaths) PathTree(src, dst NodeID) ([]NodeID, error) {
 	return path, nil
 }
 
+// fillLocked visits the trees of srcs in order, passing each to visit
+// (when non-nil). Resident trees are visited as they are; missing ones
+// are computed over a pool of the given width (non-positive selects
+// the default) and visited in source order, so nothing a visit or the
+// cache sees depends on the width. With evict set, every computed tree
+// joins the cache, evicting as queries would; otherwise computed trees
+// join only while free slots remain, and the rest — computed a chunk
+// at a time into reused rows, which bounds their memory — are dropped
+// after their visit. It returns how many trees joined.
+func (l *LRUPaths) fillLocked(st *lruState, srcs []NodeID, workers int, evict bool, visit func(*lruTree)) int {
+	n := l.g.N()
+	if workers <= 0 {
+		workers = par.DefaultWorkers()
+		if n < parallelAPSPSources {
+			workers = 1
+		}
+	}
+	scratch := make(chan *spScratch, workers)
+	for range workers {
+		scratch <- newSPScratch(n, l.g.edges)
+	}
+	trees := make([]*lruTree, len(srcs))
+	var joining []*lruTree
+	free := l.cap - len(l.clock)
+	for k, src := range srcs {
+		if t := st.slots[src].Load(); t != nil {
+			trees[k] = t
+		} else if evict || free > 0 {
+			free--
+			trees[k] = newLRUTree(src, n)
+			joining = append(joining, trees[k])
+		}
+	}
+	l.computeTrees(joining, scratch)
+	for _, t := range joining {
+		l.insertLocked(st, t)
+	}
+	if visit == nil {
+		return len(joining)
+	}
+	chunk := 4 * workers
+	var spare []*lruTree // rows of dropped trees, reused by later chunks
+	for lo := 0; lo < len(srcs); lo += chunk {
+		hi := min(lo+chunk, len(srcs))
+		var dropped []*lruTree
+		for k := lo; k < hi; k++ {
+			if trees[k] != nil {
+				continue
+			}
+			if len(spare) > 0 {
+				trees[k], spare = spare[len(spare)-1], spare[:len(spare)-1]
+				trees[k].src = srcs[k]
+			} else {
+				trees[k] = newLRUTree(srcs[k], n)
+			}
+			dropped = append(dropped, trees[k])
+		}
+		l.computeTrees(dropped, scratch)
+		for _, t := range trees[lo:hi] {
+			visit(t)
+		}
+		spare = append(spare, dropped...)
+	}
+	return len(joining)
+}
+
+// computeTrees runs the Dijkstras of todo over the worker pool, one
+// scratch from the given set per running task; the pool is as wide as
+// the set.
+func (l *LRUPaths) computeTrees(todo []*lruTree, scratch chan *spScratch) {
+	_ = par.ForEach(cap(scratch), len(todo), func(k int) error {
+		s := <-scratch
+		t := todo[k]
+		l.g.dijkstraRows(t.src, false, s, t.dist, t.next, t.parent)
+		scratch <- s
+		return nil
+	})
+}
+
 // Warm precomputes the trees of the given sources, fanning the
 // Dijkstras over the worker pool (non-positive workers selects the
 // default width) and inserting the results in input order, so a warmed
 // cache is deterministic regardless of worker count. Sources beyond the
-// cache capacity evict earlier ones, exactly as queries would.
+// cache capacity evict earlier ones, exactly as queries would; each
+// fill counts as a miss, since it ran one Dijkstra.
 func (l *LRUPaths) Warm(sources []NodeID, workers int) {
-	if len(sources) == 0 {
-		return
-	}
 	l.mu.Lock()
-	if l.gen != l.g.gen {
-		l.flushLocked()
-	}
-	// Skip sources that are already cached; compute the rest outside
-	// per-source lock contention (the pool writes disjoint slots).
+	defer l.mu.Unlock()
+	st := l.currentLocked()
+	n := l.g.N()
 	missing := make([]NodeID, 0, len(sources))
 	seen := make(map[NodeID]bool, len(sources))
 	for _, s := range sources {
-		if s < 0 || int(s) >= l.g.N() || seen[s] {
+		if s < 0 || int(s) >= n || seen[s] || st.slots[s].Load() != nil {
 			continue
 		}
 		seen[s] = true
-		if _, ok := l.trees[s]; !ok {
-			missing = append(missing, s)
-		}
+		missing = append(missing, s)
 	}
-	n := l.g.N()
-	l.mu.Unlock()
-	if len(missing) == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	if workers > len(missing) {
-		workers = len(missing)
-	}
-	out := make([]*lruTree, len(missing))
-	_ = par.ForEach(workers, workers, func(w int) error {
-		scratch := newSPScratch(n, l.g.edges)
-		for i := w; i < len(missing); i += workers {
-			t := &lruTree{
-				src:    missing[i],
-				dist:   make([]float64, n),
-				next:   make([]NodeID, n),
-				parent: make([]NodeID, n),
-			}
-			l.g.dijkstraRows(missing[i], false, scratch, t.dist, t.next, t.parent)
-			out[i] = t
-		}
-		return nil
-	})
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.gen != l.g.gen {
-		// The graph mutated mid-warm; the computed trees are stale.
-		l.flushLocked()
-		return
-	}
-	for _, t := range out {
-		if _, ok := l.trees[t.src]; ok {
-			continue
-		}
-		l.misses++ // a warm fill is an off-path miss: it ran one Dijkstra
-		if len(l.trees) >= l.cap && l.tail != nil {
-			old := l.tail
-			l.unlinkLocked(old)
-			delete(l.trees, old.src)
-			l.evictions++
-		}
-		l.trees[t.src] = t
-		l.pushFrontLocked(t)
-	}
+	l.misses += uint64(l.fillLocked(st, missing, workers, true, nil))
 }
 
-// sweepLocked computes the whole-graph aggregates (max and sum of
-// finite off-diagonal distances) with one streaming Dijkstra per
-// source, reusing a single row buffer — O(n) memory where the dense
-// MaxDist/MeanDist scan an O(n²) matrix. Rows are visited in the same
-// source order and scanned in the same destination order as the dense
-// scan, so both aggregates are bit-identical to the dense backend's.
-func (l *LRUPaths) sweepLocked() {
-	if l.gen != l.g.gen {
-		l.flushLocked()
-	}
-	if l.aggValid && l.aggGen == l.gen {
-		return
-	}
-	n := l.g.N()
-	dist := make([]float64, n)
-	next := make([]NodeID, n)
-	parent := make([]NodeID, n)
-	var maxD, sum float64
-	for i := 0; i < n; i++ {
-		// Serve from a cached tree when present — identical bits, no
-		// extra Dijkstra.
-		row := dist
-		if t := l.trees[NodeID(i)]; t != nil {
-			row = t.dist
-		} else {
-			l.g.dijkstraRows(NodeID(i), false, l.scratch, dist, next, parent)
+// sweep returns the whole-graph aggregates — the max and the sum of
+// finite off-diagonal distances — computing them once per graph
+// generation with one Dijkstra per uncached source over a pool of the
+// given width (see fillLocked). The computed trees fill the cache while
+// it has free slots, so with capacity ≥ n a sweep leaves every tree
+// resident. Rows are scanned in source order and each in destination
+// order, exactly like the dense scan, so both aggregates are
+// bit-identical to the dense backend's at any width.
+func (l *LRUPaths) sweep(workers int) (maxD, sum float64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := l.currentLocked()
+	if !l.aggValid {
+		srcs := make([]NodeID, l.g.N())
+		for i := range srcs {
+			srcs[i] = NodeID(i)
 		}
-		for j, d := range row {
-			if i != j && !math.IsInf(d, 1) {
-				sum += d
-				if d > maxD {
-					maxD = d
+		var m, s float64
+		l.fillLocked(st, srcs, workers, false, func(t *lruTree) {
+			for j, d := range t.dist {
+				if NodeID(j) != t.src && !math.IsInf(d, 1) {
+					s += d
+					if d > m {
+						m = d
+					}
 				}
 			}
-		}
+		})
+		l.maxDist, l.distSum, l.aggValid = m, s, true
 	}
-	l.maxDist, l.distSum = maxD, sum
-	l.aggValid, l.aggGen = true, l.gen
+	return l.maxDist, l.distSum
 }
 
 // MaxDist returns the largest finite off-diagonal distance (the
 // weighted diameter), bit-identical to the dense backend. The first
-// call per graph generation runs one Dijkstra per source (O(n) memory);
-// the scalar is then cached.
+// call per graph generation runs the parallel sweep (see sweep); the
+// scalar is then cached.
 func (l *LRUPaths) MaxDist() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sweepLocked()
-	return l.maxDist
+	m, _ := l.sweep(0)
+	return m
 }
 
 // MeanDist returns the mean off-diagonal pairwise distance (see
 // APSP.MeanDist for the includeDiagonal convention), bit-identical to
 // the dense backend; cached like MaxDist.
 func (l *LRUPaths) MeanDist(includeDiagonal bool) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := l.g.N()
 	if n < 2 {
 		return 0
 	}
-	l.sweepLocked()
+	_, sum := l.sweep(0)
 	if includeDiagonal {
-		return l.distSum / float64(n*n)
+		return sum / float64(n*n)
 	}
-	return l.distSum / float64(n*(n-1))
+	return sum / float64(n*(n-1))
 }
