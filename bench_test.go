@@ -401,7 +401,7 @@ func BenchmarkRoutingScale(b *testing.B) {
 				if lru, ok := p.(*topology.LRUPaths); ok {
 					path, err = lru.PathTree(src, dst)
 				} else {
-					path, err = p.Path(src, dst)
+					path, err = p.(*topology.APSP).Path(src, dst)
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -54,7 +54,7 @@ func main() {
 		chaosSpec   = flag.String("chaos", "", "chaos scenario: a JSON file path or a preset name (see -chaos list)")
 		chaosCkpt   = flag.String("chaos-checkpoint", "", "save a coordinator checkpoint here at each chaos coordinator crash and restore it at the restart")
 		staleness   = flag.Float64("staleness", 0, "staleness bound (ms) before a coordination outage degrades the data plane; 0 selects the default")
-		routing     = flag.String("routing", "auto", "shortest-path backend: auto (dense below the threshold, lru above), dense, lru, or landmark")
+		routing     = flag.String("routing", "auto", "shortest-path backend: auto (dense below the threshold, lru above), dense, or lru")
 		shardsFlag  = flag.String("shards", "auto", "event-loop shards: auto (serial below the dense threshold), 1 (serial), or N; results are identical at any setting")
 		httpAddr    = flag.String("http", "", "serve run progress, metrics and pprof on this address for the duration of the run")
 		tracePath   = flag.String("trace", "", "write a JSONL event trace to this file (.gz compresses; see internal/trace)")

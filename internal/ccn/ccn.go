@@ -193,7 +193,7 @@ type Options struct {
 	// would be quadratic in memory. Fault-aware planes (Options.Faults)
 	// require the dense backend: incremental rerouting (DynAPSP) repairs
 	// a materialized matrix, so NewNetwork rejects Faults combined with
-	// a sparse backend rather than silently misrouting around outages.
+	// the LRU backend rather than silently misrouting around outages.
 	Routing topology.Backend
 }
 
@@ -483,8 +483,9 @@ func (n *Network) Store(id topology.NodeID) (cache.Store, error) {
 
 // Routes returns the routing backend the data plane is forwarding
 // with: the dense matrix by default (possibly a fault-repaired one
-// while outages are active), or the sparse backend Options.Routing
-// selected. Treat the result as read-only shared state.
+// while outages are active), or the LRU tree cache when
+// Options.Routing selects it. Treat the result as read-only shared
+// state.
 func (n *Network) Routes() topology.PathProvider { return n.lat }
 
 // InterestTransmissions returns the total number of interest packet

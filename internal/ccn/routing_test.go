@@ -11,7 +11,7 @@ import (
 )
 
 // TestFaultsRequireDenseRouting pins the errored fallback: a
-// fault-aware plane cannot run on a sparse routing backend (incremental
+// fault-aware plane cannot run on the LRU routing backend (incremental
 // rerouting repairs a materialized matrix), and NewNetwork must say so
 // instead of silently misrouting around outages.
 func TestFaultsRequireDenseRouting(t *testing.T) {
@@ -27,16 +27,14 @@ func TestFaultsRequireDenseRouting(t *testing.T) {
 	}
 	stores := func(topology.NodeID) (cache.Store, error) { return cache.NewLRU(1) }
 
-	for _, b := range []topology.Backend{topology.BackendLRU, topology.BackendLandmark} {
-		_, err := NewNetwork(&des.Engine{}, g, cat, Options{
-			Stores: stores, Faults: true, RetxTimeout: 100, Routing: b,
-		})
-		if err == nil {
-			t.Fatalf("Faults with %v backend should fail", b)
-		}
-		if !strings.Contains(err.Error(), "dense routing backend") {
-			t.Errorf("Faults with %v backend: unhelpful error %v", b, err)
-		}
+	_, err = NewNetwork(&des.Engine{}, g, cat, Options{
+		Stores: stores, Faults: true, RetxTimeout: 100, Routing: topology.BackendLRU,
+	})
+	if err == nil {
+		t.Fatal("Faults with the lru backend should fail")
+	}
+	if !strings.Contains(err.Error(), "dense routing backend") {
+		t.Errorf("Faults with the lru backend: unhelpful error %v", err)
 	}
 
 	// Dense (explicit or auto-resolved on a small graph) stays fine.

@@ -43,24 +43,22 @@ func TestRunDenseVsLRUByteIdentical(t *testing.T) {
 }
 
 // TestValidateRejectsFaultsOnSparseBackends pins the early, clearly
-// errored fallback for fault scenarios on sparse routing backends.
+// errored fallback for fault scenarios on the LRU routing backend.
 func TestValidateRejectsFaultsOnSparseBackends(t *testing.T) {
-	for _, b := range []topology.Backend{topology.BackendLRU, topology.BackendLandmark} {
-		sc := testScenario()
-		sc.Routing = b
-		sc.RetxTimeout = 300
-		sc.FaultScript = []fault.Event{{At: 100, Kind: fault.RouterDown, Node: 1}}
-		err := sc.Validate()
-		if err == nil {
-			t.Fatalf("faults with %v backend should fail validation", b)
-		}
-		if !strings.Contains(err.Error(), "dense routing backend") {
-			t.Errorf("faults with %v backend: unhelpful error %v", b, err)
-		}
-		// The same scenario without faults is fine.
-		sc.FaultScript = nil
-		if err := sc.Validate(); err != nil {
-			t.Errorf("faultless %v backend rejected: %v", b, err)
-		}
+	sc := testScenario()
+	sc.Routing = topology.BackendLRU
+	sc.RetxTimeout = 300
+	sc.FaultScript = []fault.Event{{At: 100, Kind: fault.RouterDown, Node: 1}}
+	err := sc.Validate()
+	if err == nil {
+		t.Fatal("faults with the lru backend should fail validation")
+	}
+	if !strings.Contains(err.Error(), "dense routing backend") {
+		t.Errorf("faults with the lru backend: unhelpful error %v", err)
+	}
+	// The same scenario without faults is fine.
+	sc.FaultScript = nil
+	if err := sc.Validate(); err != nil {
+		t.Errorf("faultless lru backend rejected: %v", err)
 	}
 }

@@ -20,10 +20,7 @@ import (
 // Exactness: a cached tree is produced by Graph.dijkstraRows with the
 // identical adjacency iteration order as a dense APSP row, so Dist and
 // Next are bit-identical to the dense backend on any graph — ties
-// included. Path walks first hops across trees exactly like APSP.Path
-// walks Next rows, so it is bit-identical too; note that a cold Path
-// query can therefore fill up to path-length trees (see PathTree for
-// the single-tree variant that stays within tree(src)).
+// included.
 //
 // Invalidation: every query stamps itself against the graph's mutation
 // generation; any Graph mutator bumps the generation (see Graph.bump),
@@ -32,12 +29,12 @@ import (
 // APSP cache.
 //
 // Concurrency: the cached trees are published in a per-source slot
-// array, so a hit — in Dist, Next, PathTree or each hop of Path — is
-// one atomic load plus one atomic hit count, with no lock. The
-// generation stamp and the slots sit in one atomically swapped state,
-// so a flush is race-free. A miss runs its Dijkstra under a mutex into
-// freshly allocated rows, never into an evicted tree's: a concurrent
-// reader may still hold the evicted tree, so published rows are never
+// array, so a hit — in Dist, Next or PathTree — is one atomic load
+// plus one atomic hit count, with no lock. The generation stamp and
+// the slots sit in one atomically swapped state, so a flush is
+// race-free. A miss runs its Dijkstra under a mutex into freshly
+// allocated rows, never into an evicted tree's: a concurrent reader
+// may still hold the evicted tree, so published rows are never
 // rewritten. Eviction is CLOCK: a tree hit since the hand last passed
 // it gets a second chance. Mutating the underlying Graph still
 // requires external synchronization, exactly as with the dense cache.
@@ -59,11 +56,10 @@ type LRUPaths struct {
 	// retiredHits sums the hit counts of evicted and flushed trees.
 	retiredHits, misses, evictions uint64
 
-	// Cached whole-graph aggregates (MaxDist / MeanDist sweep), valid
-	// until the next flush.
-	aggValid bool
+	// Cached weighted diameter (MaxDist sweep), valid until the next
+	// flush.
+	maxValid bool
 	maxDist  float64
-	distSum  float64
 }
 
 // lruState is one graph generation's published cache: slots[src] is
@@ -107,7 +103,9 @@ func newLRUTree(src NodeID, n int) *lruTree {
 
 // DefaultLRUBudgetBytes is the tree-cache memory budget when
 // NewLRUPaths is given a non-positive capacity: the capacity becomes
-// budget / (24·n) trees, clamped to [minLRUCapacity, n].
+// budget / (24·n) trees, clamped to [minLRUCapacity, n]. The lower
+// clamp wins past ~700k nodes, where the cache then exceeds the budget:
+// at 2²¹ nodes its 16 trees take ≈805 MB.
 const DefaultLRUBudgetBytes = 256 << 20
 
 // minLRUCapacity keeps a degenerate budget from thrashing on every
@@ -224,7 +222,7 @@ func (l *LRUPaths) currentLocked() *lruState {
 	clear(l.clock)
 	l.clock, l.hand = l.clock[:0], 0
 	l.scratch = newSPScratch(n, l.g.edges)
-	l.aggValid = false
+	l.maxValid = false
 	if l.cap > n && n > 0 {
 		l.cap = n
 	}
@@ -276,40 +274,11 @@ func (l *LRUPaths) Dist(i, j NodeID) float64 { return l.tree(i).dist[j] }
 // backend.
 func (l *LRUPaths) Next(i, j NodeID) NodeID { return l.tree(i).next[j] }
 
-// Path returns the node sequence from src to dst (inclusive), walking
-// first hops across per-source trees exactly like APSP.Path walks Next
-// rows — so the sequence is bit-identical to the dense backend's, ties
-// included. A cold call can fill up to path-length trees; see PathTree
-// for the single-tree variant.
-func (l *LRUPaths) Path(src, dst NodeID) ([]NodeID, error) {
-	n := l.g.N()
-	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {
-		return nil, fmt.Errorf("topology: path endpoints (%d,%d) out of range", src, dst)
-	}
-	if src == dst {
-		return []NodeID{src}, nil
-	}
-	path := []NodeID{src}
-	cur := src
-	for cur != dst {
-		nxt := l.tree(cur).next[dst]
-		if nxt < 0 {
-			return nil, fmt.Errorf("topology: %d unreachable from %d", dst, src)
-		}
-		path = append(path, nxt)
-		cur = nxt
-		if len(path) > n+1 {
-			return nil, fmt.Errorf("topology: first-hop matrix contains a loop between %d and %d", src, dst)
-		}
-	}
-	return path, nil
-}
-
 // PathTree returns a shortest path from src to dst read entirely out of
 // src's own tree (the predecessor chain), touching exactly one cached
 // tree — the query shape the LRU is sized for. The result is a valid
-// shortest path of the same length as Path's; under exact equal-cost
-// ties the node sequence may differ from the dense walk.
+// shortest path of the same length as APSP.Path's; under exact
+// equal-cost ties the node sequence may differ from the dense walk.
 func (l *LRUPaths) PathTree(src, dst NodeID) ([]NodeID, error) {
 	n := l.g.N()
 	if int(src) >= n || int(dst) >= n || src < 0 || dst < 0 {
@@ -441,59 +410,36 @@ func (l *LRUPaths) Warm(sources []NodeID, workers int) {
 	l.misses += uint64(l.fillLocked(st, missing, workers, true, nil))
 }
 
-// sweep returns the whole-graph aggregates — the max and the sum of
-// finite off-diagonal distances — computing them once per graph
-// generation with one Dijkstra per uncached source over a pool of the
-// given width (see fillLocked). The computed trees fill the cache while
-// it has free slots, so with capacity ≥ n a sweep leaves every tree
-// resident. Rows are scanned in source order and each in destination
-// order, exactly like the dense scan, so both aggregates are
-// bit-identical to the dense backend's at any width.
-func (l *LRUPaths) sweep(workers int) (maxD, sum float64) {
+// sweep returns the largest finite off-diagonal distance, computing it
+// once per graph generation with one Dijkstra per uncached source over
+// a pool of the given width (see fillLocked). The computed trees fill
+// the cache while it has free slots, so with capacity ≥ n a sweep
+// leaves every tree resident. A max does not depend on scan order, so
+// the result is bit-identical to the dense backend's at any width.
+func (l *LRUPaths) sweep(workers int) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	st := l.currentLocked()
-	if !l.aggValid {
+	if !l.maxValid {
 		srcs := make([]NodeID, l.g.N())
 		for i := range srcs {
 			srcs[i] = NodeID(i)
 		}
-		var m, s float64
+		var m float64
 		l.fillLocked(st, srcs, workers, false, func(t *lruTree) {
 			for j, d := range t.dist {
-				if NodeID(j) != t.src && !math.IsInf(d, 1) {
-					s += d
-					if d > m {
-						m = d
-					}
+				if NodeID(j) != t.src && !math.IsInf(d, 1) && d > m {
+					m = d
 				}
 			}
 		})
-		l.maxDist, l.distSum, l.aggValid = m, s, true
+		l.maxDist, l.maxValid = m, true
 	}
-	return l.maxDist, l.distSum
+	return l.maxDist
 }
 
 // MaxDist returns the largest finite off-diagonal distance (the
 // weighted diameter), bit-identical to the dense backend. The first
 // call per graph generation runs the parallel sweep (see sweep); the
 // scalar is then cached.
-func (l *LRUPaths) MaxDist() float64 {
-	m, _ := l.sweep(0)
-	return m
-}
-
-// MeanDist returns the mean off-diagonal pairwise distance (see
-// APSP.MeanDist for the includeDiagonal convention), bit-identical to
-// the dense backend; cached like MaxDist.
-func (l *LRUPaths) MeanDist(includeDiagonal bool) float64 {
-	n := l.g.N()
-	if n < 2 {
-		return 0
-	}
-	_, sum := l.sweep(0)
-	if includeDiagonal {
-		return sum / float64(n*n)
-	}
-	return sum / float64(n*(n-1))
-}
+func (l *LRUPaths) MaxDist() float64 { return l.sweep(0) }

@@ -7,12 +7,37 @@ import (
 	"testing"
 )
 
+// TestLRUCapacityForBudget pins the default cache sizing the README's
+// memory table quotes: budget / (24·n) trees, capped at n, and never
+// fewer than minLRUCapacity even when that overruns the budget.
+func TestLRUCapacityForBudget(t *testing.T) {
+	cases := []struct {
+		n, trees int
+		bytes    int // trees × treeBytes(n)
+	}{
+		{100, 100, 240_000},
+		{1000, 1000, 24_000_000},
+		{10_000, 1118, 268_320_000},
+		{100_000, 111, 266_400_000},
+		{1 << 21, minLRUCapacity, 805_306_368}, // clamped: above the budget
+	}
+	for _, tc := range cases {
+		got := LRUCapacityForBudget(tc.n, DefaultLRUBudgetBytes)
+		if got != tc.trees {
+			t.Errorf("n=%d: %d trees, want %d", tc.n, got, tc.trees)
+		}
+		if b := got * treeBytes(tc.n); b != tc.bytes {
+			t.Errorf("n=%d: %d trees take %d B, want %d", tc.n, got, b, tc.bytes)
+		}
+	}
+}
+
 // TestLRUConcurrentReaders races lock-free hits against misses,
 // evictions and a diameter sweep: six readers query a capacity-4 cache
 // (so nearly every miss evicts a tree another reader may still hold)
-// while a seventh goroutine runs MaxDist and MeanDist. Every answer must
-// equal the dense APSP's, and once all queries return, hits + misses
-// must equal the number of single-tree queries issued.
+// while a seventh goroutine runs MaxDist. Every answer must equal the
+// dense APSP's, and once all queries return, hits + misses must equal
+// the number of single-tree queries issued.
 func TestLRUConcurrentReaders(t *testing.T) {
 	g, err := RandomConnected(120, 300, 1, 20, 17)
 	if err != nil {
@@ -77,9 +102,6 @@ func TestLRUConcurrentReaders(t *testing.T) {
 		if got, want := lru.MaxDist(), dense.MaxDist(); got != want {
 			t.Errorf("MaxDist = %v, dense %v", got, want)
 		}
-		if got, want := lru.MeanDist(false), dense.MeanDist(false); got != want {
-			t.Errorf("MeanDist = %v, dense %v", got, want)
-		}
 	}()
 	wg.Wait()
 	hits, misses, evictions := lru.Stats()
@@ -109,10 +131,10 @@ func TestLRULateHitCounted(t *testing.T) {
 	}
 }
 
-// TestLRUSweepExact checks the parallel diameter sweep: MaxDist and
-// MeanDist are bit-identical to the dense backend at every pool width
-// and capacity, the sweep fills free slots without evicting, and with
-// capacity >= n it leaves every tree resident — a Next pass over all
+// TestLRUSweepExact checks the parallel diameter sweep: MaxDist is
+// bit-identical to the dense backend at every pool width and capacity,
+// the sweep fills free slots without evicting, and with capacity >= n
+// it leaves every tree resident — a Next pass over all
 // sources afterwards runs no Dijkstra, which the sim driver relies on
 // when it builds its accumulator before the run.
 func TestLRUSweepExact(t *testing.T) {
@@ -131,11 +153,6 @@ func TestLRUSweepExact(t *testing.T) {
 			lru.sweep(workers)
 			if got, want := lru.MaxDist(), dense.MaxDist(); got != want {
 				t.Errorf("cap=%d workers=%d: MaxDist = %v, dense %v", capacity, workers, got, want)
-			}
-			for _, diag := range []bool{false, true} {
-				if got, want := lru.MeanDist(diag), dense.MeanDist(diag); got != want {
-					t.Errorf("cap=%d workers=%d: MeanDist(%v) = %v, dense %v", capacity, workers, diag, got, want)
-				}
 			}
 			_, misses, evictions := lru.Stats()
 			if misses != 2 || evictions != 0 {

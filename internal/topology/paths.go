@@ -213,9 +213,9 @@ func (g *Graph) dijkstraInto(out *APSP, src NodeID, unitWeights bool, s *spScrat
 
 // dijkstraRows is the single-source shortest-path kernel shared by every
 // routing backend: the dense APSP writes matrix rows through it, and the
-// LRU/landmark backends fill their per-source trees with it. Sharing one
-// kernel (same adjacency iteration order, same heap) is what makes the
-// sparse backends' per-source results bit-identical to the dense rows.
+// LRU backend fills its per-source trees with it. Sharing one kernel
+// (same adjacency iteration order, same heap) is what makes the LRU
+// backend's per-source results bit-identical to the dense rows.
 func (g *Graph) dijkstraRows(src NodeID, unitWeights bool, s *spScratch, dist []float64, next, parent []NodeID) {
 	for i := range dist {
 		dist[i] = math.Inf(1)

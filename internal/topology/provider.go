@@ -3,28 +3,23 @@ package topology
 import "fmt"
 
 // PathProvider is the routing-backend interface behind which the data
-// plane and the experiment harness query shortest paths. The dense
-// all-pairs matrix (*APSP) satisfies it exactly as before; the sparse
-// backends (LRUPaths, LandmarkPaths) trade precompute and memory for
-// scale:
+// plane queries shortest paths. Both backends are exact: the dense
+// all-pairs matrix (*APSP) and the per-source tree cache (LRUPaths),
+// which trades per-miss Dijkstras for memory at scale:
 //
-//	backend    memory    precompute        Dist/Next         exact?
-//	dense      24·n² B   n Dijkstras       O(1)              yes
+//	backend    memory    precompute        Dist/Next
+//	dense      24·n² B   n Dijkstras       O(1)
 //	lru        24·n·k B  per-miss Dijkstra O(1) lock-free hit / O(m log n) locked miss, k cached trees
-//	landmark   24·n·k B  k Dijkstras       O(k)              upper bound
 //
 // Dist returns the shortest-path length from i to j (0 on the diagonal,
 // +Inf if unreachable); Next the first hop out of i toward j (-1 on the
-// diagonal or if unreachable); Path the full node sequence; MaxDist the
-// weighted diameter and MeanDist the mean pairwise distance (see each
-// backend for its exactness contract on the last two).
+// diagonal or if unreachable); MaxDist the weighted diameter. Both
+// backends answer all three bit-identically.
 type PathProvider interface {
 	N() int
 	Dist(i, j NodeID) float64
 	Next(i, j NodeID) NodeID
-	Path(src, dst NodeID) ([]NodeID, error)
 	MaxDist() float64
-	MeanDist(includeDiagonal bool) float64
 }
 
 // Backend selects a routing backend implementation.
@@ -36,17 +31,13 @@ const (
 	// byte-identical dense fast path, large generated graphs never
 	// materialize an O(n²) matrix.
 	BackendAuto Backend = iota
-	// BackendDense is the flat all-pairs matrix of PR 3: 24·n² bytes,
+	// BackendDense is the flat all-pairs matrix: 24·n² bytes,
 	// exact, O(1) queries, required for DynAPSP fault rerouting.
 	BackendDense
 	// BackendLRU answers from an LRU of per-source shortest-path trees,
 	// each filled by one on-demand Dijkstra: O(n·cap) memory, exact, and
 	// bit-identical to the dense rows (see LRUPaths).
 	BackendLRU
-	// BackendLandmark answers approximate distances via k landmark
-	// trees: O(n·k) memory, O(k) per query, upper-bound estimates (see
-	// LandmarkPaths).
-	BackendLandmark
 )
 
 // DenseAutoThreshold is the node count at which BackendAuto switches
@@ -64,8 +55,6 @@ func (b Backend) String() string {
 		return "dense"
 	case BackendLRU:
 		return "lru"
-	case BackendLandmark:
-		return "landmark"
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}
@@ -76,14 +65,12 @@ func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "", "auto":
 		return BackendAuto, nil
-	case "dense", "apsp":
+	case "dense":
 		return BackendDense, nil
 	case "lru":
 		return BackendLRU, nil
-	case "landmark":
-		return BackendLandmark, nil
 	default:
-		return 0, fmt.Errorf("topology: unknown routing backend %q (want auto, dense, lru, or landmark)", s)
+		return 0, fmt.Errorf("topology: unknown routing backend %q (want auto, dense, or lru)", s)
 	}
 }
 
@@ -101,16 +88,14 @@ func (b Backend) Resolve(n int) Backend {
 
 // NewPathProvider builds the selected routing backend over g's latency
 // metric. BackendDense returns the graph's shared cached APSP (computing
-// it on first use); the sparse backends use default sizing — build
-// LRUPaths/LandmarkPaths directly to tune capacity or landmark count.
+// it on first use); BackendLRU uses the default capacity — build
+// LRUPaths directly to tune it.
 func NewPathProvider(g *Graph, b Backend) (PathProvider, error) {
 	switch b.Resolve(g.N()) {
 	case BackendDense:
 		return g.ShortestPathsLatency(), nil
 	case BackendLRU:
 		return NewLRUPaths(g, 0), nil
-	case BackendLandmark:
-		return NewLandmarkPaths(g, 0), nil
 	default:
 		return nil, fmt.Errorf("topology: unknown routing backend %d", int(b))
 	}
